@@ -416,12 +416,20 @@ func BenchmarkHybridMigration(b *testing.B) {
 	}
 }
 
+// reportSimRate reports simulated instructions per host second: the
+// instructions of all b.N iterations over the time they took together,
+// so the rate is per iteration whatever b.N the harness chose.
+func reportSimRate(b *testing.B, insts uint64) {
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
+}
+
 func BenchmarkFullSystemSimulation(b *testing.B) {
 	w, err := WorkloadByName("GemsFDTD")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	var insts uint64
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig(RRMScheme(), w)
 		cfg.Duration = 2 * Millisecond
@@ -431,8 +439,9 @@ func BenchmarkFullSystemSimulation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(m.Instructions)/b.Elapsed().Seconds(), "sim-insts/s")
+		insts += m.Instructions
 	}
+	reportSimRate(b, insts)
 }
 
 // BenchmarkShardedSimulation is BenchmarkFullSystemSimulation on the
@@ -447,6 +456,7 @@ func BenchmarkShardedSimulation(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	var insts uint64
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig(RRMScheme(), w)
 		cfg.Duration = 2 * Millisecond
@@ -457,8 +467,9 @@ func BenchmarkShardedSimulation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(m.Instructions)/b.Elapsed().Seconds(), "sim-insts/s")
+		insts += m.Instructions
 	}
+	reportSimRate(b, insts)
 }
 
 // BenchmarkReliabilitySimulation measures the end-to-end cost of the
@@ -470,6 +481,7 @@ func BenchmarkReliabilitySimulation(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	var insts uint64
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig(StaticScheme(Mode3SETs), w)
 		cfg.Duration = 2 * Millisecond
@@ -484,8 +496,9 @@ func BenchmarkReliabilitySimulation(b *testing.B) {
 		if m.Reliability == nil {
 			b.Fatal("reliability metrics missing")
 		}
-		b.ReportMetric(float64(m.Instructions)/b.Elapsed().Seconds(), "sim-insts/s")
+		insts += m.Instructions
 	}
+	reportSimRate(b, insts)
 }
 
 // sampledBenchConfig is the steady-state regime where interval sampling
@@ -516,13 +529,15 @@ func sampledBenchConfig(b *testing.B) Config {
 func BenchmarkFullRun(b *testing.B) {
 	cfg := sampledBenchConfig(b)
 	b.ReportAllocs()
+	var insts uint64
 	for i := 0; i < b.N; i++ {
 		m, err := Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(m.Instructions)/b.Elapsed().Seconds(), "sim-insts/s")
+		insts += m.Instructions
 	}
+	reportSimRate(b, insts)
 }
 
 func BenchmarkSampledRun(b *testing.B) {
@@ -534,6 +549,7 @@ func BenchmarkSampledRun(b *testing.B) {
 		FFStride:     16,
 	}
 	b.ReportAllocs()
+	var insts uint64
 	for i := 0; i < b.N; i++ {
 		m, err := RunSampled(context.Background(), cfg)
 		if err != nil {
@@ -542,8 +558,9 @@ func BenchmarkSampledRun(b *testing.B) {
 		if m.Sampling == nil {
 			b.Fatal("sampling report missing")
 		}
-		b.ReportMetric(float64(m.Instructions)/b.Elapsed().Seconds(), "sim-insts/s")
+		insts += m.Instructions
 	}
+	reportSimRate(b, insts)
 }
 
 // benchDynamicStream builds stream 0 of a named non-stationary

@@ -57,8 +57,8 @@ func (c Config) Validate() error {
 	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache %s: line size %d not a power of two", c.Name, c.LineBytes)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache %s: ways %d", c.Name, c.Ways)
+	if c.Ways <= 0 || c.Ways > maxWays {
+		return fmt.Errorf("cache %s: ways %d not in 1..%d", c.Name, c.Ways, maxWays)
 	}
 	if c.SizeBytes%(c.Ways*c.LineBytes) != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible by way*line", c.Name, c.SizeBytes)
@@ -92,15 +92,28 @@ func (s Stats) HitRate() float64 {
 // a lookup and the valid bit folds into the tag array itself.
 const invalidTag = ^uint64(0)
 
+// maxWays is the largest associativity a recency order of one byte per
+// way can rank.
+const maxWays = 256
+
 // Cache is one set-associative level. Way state is stored
 // structure-of-arrays: the tag scan — the hot loop of every access —
 // touches one densely packed uint64 per way instead of a padded struct,
 // and the LRU stamps and dirty bits stay out of the scan's cache lines.
+//
+// Each set also keeps a recency order: its way indices, most recently
+// used first, one byte each. Ways fill in index order and only Flush
+// invalidates them, so the valid ways of a set are always a prefix of
+// its ways, and a set is full exactly when its last way is valid. The
+// order ranks the valid ways ahead of the empty ones, so the victim of a
+// full set is its last entry, read in O(1). The lastUse stamps are still written on every touch: they are
+// what Snapshot records, and Restore rebuilds the order from them.
 type Cache struct {
 	cfg      Config
 	tags     []uint64 // nsets*ways, set-major; invalidTag = empty way
 	lastUse  []uint64 // parallel to tags
 	dirty    []bool   // parallel to tags
+	order    []uint8  // nsets*ways, set-major: way indices, MRU first
 	nsets    int
 	setMask  uint64
 	lineBits uint
@@ -120,11 +133,18 @@ func New(cfg Config) *Cache {
 		tags:    make([]uint64, nsets*cfg.Ways),
 		lastUse: make([]uint64, nsets*cfg.Ways),
 		dirty:   make([]bool, nsets*cfg.Ways),
+		order:   make([]uint8, nsets*cfg.Ways),
 		nsets:   nsets,
 		setMask: uint64(nsets - 1),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
+	}
+	for i := 0; i < cfg.Ways; i++ {
+		c.order[i] = uint8(i)
+	}
+	for n := cfg.Ways; n < len(c.order); n *= 2 {
+		copy(c.order[n:], c.order[:n]) // every set starts in way order
 	}
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
 		c.lineBits++
@@ -183,7 +203,7 @@ func (c *Cache) Access(addr uint64, kind AccessKind) (hit bool, victim Victim, e
 	for i, t := range tags {
 		if t == tag {
 			c.stats.Hits++
-			c.lastUse[base+i] = c.useClock
+			c.touch(base, i)
 			if kind == Store {
 				c.dirty[base+i] = true
 			}
@@ -204,7 +224,7 @@ func (c *Cache) Fill(addr uint64) (victim Victim, evicted bool) {
 	base, tags := c.ways(set)
 	for i, t := range tags {
 		if t == tag {
-			c.lastUse[base+i] = c.useClock
+			c.touch(base, i)
 			return Victim{}, false
 		}
 	}
@@ -225,7 +245,7 @@ func (c *Cache) WritebackInto(addr uint64) (wasPresent, wasDirty bool, victim Vi
 			c.stats.Hits++
 			wasDirty = c.dirty[base+i]
 			c.dirty[base+i] = true
-			c.lastUse[base+i] = c.useClock
+			c.touch(base, i)
 			return true, wasDirty, Victim{}, false
 		}
 	}
@@ -235,22 +255,31 @@ func (c *Cache) WritebackInto(addr uint64) (wasPresent, wasDirty bool, victim Vi
 	return false, false, victim, evicted
 }
 
-// allocate installs (set, tag), evicting the LRU way if necessary.
+// touch stamps way i of the set at base as just used and moves it to
+// the front of the set's recency order.
+func (c *Cache) touch(base, i int) {
+	c.lastUse[base+i] = c.useClock
+	ord := c.order[base : base+c.cfg.Ways]
+	// Walk from the front, shifting each entry back one place, until
+	// the slot that held way i is overwritten. A hit on the most
+	// recently used way stops at once.
+	w, prev := uint8(i), uint8(i)
+	for j, cur := range ord {
+		ord[j] = prev
+		if cur == w {
+			return
+		}
+		prev = cur
+	}
+}
+
+// allocate installs (set, tag), evicting the LRU way if the set is full.
 func (c *Cache) allocate(set, tag uint64, dirty bool) (victim Victim, evicted bool) {
 	base, tags := c.ways(set)
-	lu := c.lastUse[base : base+len(tags)]
-	way, oldest, empty := 0, ^uint64(0), false
-	for i, t := range tags {
-		if t == invalidTag {
-			way, empty = i, true
-			break
-		}
-		if lu[i] < oldest {
-			oldest = lu[i]
-			way = i
-		}
-	}
-	if !empty {
+	last := len(tags) - 1
+	var way int
+	if tags[last] != invalidTag {
+		way = int(c.order[base+last])
 		vDirty := c.dirty[base+way]
 		c.stats.Evictions++
 		if vDirty {
@@ -258,10 +287,14 @@ func (c *Cache) allocate(set, tag uint64, dirty bool) (victim Victim, evicted bo
 		}
 		victim = Victim{Addr: c.reconstruct(set, tags[way]), Dirty: vDirty}
 		evicted = true
+	} else {
+		for tags[way] != invalidTag {
+			way++
+		}
 	}
 	tags[way] = tag
 	c.dirty[base+way] = dirty
-	c.lastUse[base+way] = c.useClock
+	c.touch(base, way)
 	return victim, evicted
 }
 
@@ -286,6 +319,7 @@ func (c *Cache) Flush() []Victim {
 			tags[i] = invalidTag
 			c.dirty[base+i] = false
 			c.lastUse[base+i] = 0
+			c.order[base+i] = uint8(i)
 		}
 	}
 	return dirty

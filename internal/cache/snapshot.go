@@ -39,7 +39,8 @@ func (c *Cache) Snapshot(w *snapshot.Writer) {
 	}
 }
 
-// Restore loads state written by Snapshot into a same-geometry level.
+// Restore loads state written by Snapshot into a same-geometry level and
+// rebuilds each set's recency order from the restored stamps.
 func (c *Cache) Restore(r *snapshot.Reader) {
 	r.Section(snapLevelSection)
 	c.useClock = r.U64()
@@ -69,6 +70,40 @@ func (c *Cache) Restore(r *snapshot.Reader) {
 			return
 		}
 	}
+	for base := 0; base < len(c.tags); base += c.cfg.Ways {
+		if !c.rebuildOrder(base) {
+			r.Fail("cache %s: set %d has a valid way after an empty one", c.cfg.Name, base/c.cfg.Ways)
+			return
+		}
+	}
+}
+
+// rebuildOrder ranks the set at base from its lastUse stamps: valid ways
+// newest first, then the empty ways. Accesses never leave two valid
+// ways with one stamp; should a blob hold a tie, the lower way ranks
+// older. It reports false if the valid ways are not a prefix of the
+// set, a state no sequence of accesses produces.
+func (c *Cache) rebuildOrder(base int) bool {
+	ways := c.cfg.Ways
+	tags := c.tags[base : base+ways]
+	lu := c.lastUse[base : base+ways]
+	ord := c.order[base : base+ways]
+	n := 0
+	for n < ways && tags[n] != invalidTag {
+		j := n
+		for ; j > 0 && lu[ord[j-1]] <= lu[n]; j-- {
+			ord[j] = ord[j-1]
+		}
+		ord[j] = uint8(n)
+		n++
+	}
+	for i := n; i < ways; i++ {
+		if tags[i] != invalidTag {
+			return false
+		}
+		ord[i] = uint8(i)
+	}
+	return true
 }
 
 // Snapshot writes the whole hierarchy: every level plus the retired

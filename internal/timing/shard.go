@@ -97,7 +97,7 @@ func (s *ShardSet) NumShards() int { return len(s.qs) }
 // Now returns the shared simulation clock.
 func (s *ShardSet) Now() Time { return s.ck.now }
 
-// Len returns the total number of pending heap events across shards.
+// Len returns the total number of pending events across shards.
 func (s *ShardSet) Len() int {
 	n := 0
 	for _, q := range s.qs {

@@ -100,7 +100,7 @@ func TestShardSetMatchesSerialOrder(t *testing.T) {
 }
 
 // TestShardSetTimers checks timer-slot semantics under the merge: a
-// timer fires once per arming, interleaved with same-instant heap
+// timer fires once per arming, interleaved with same-instant queued
 // events by the sequence number drawn at Arm — exactly where a
 // Scheduled event would have fired.
 func TestShardSetTimers(t *testing.T) {

@@ -145,7 +145,7 @@ func TestEventQueueCancelAfterFire(t *testing.T) {
 	q := NewEventQueue()
 	ev := q.Schedule(5, func(Time) {})
 	q.Step()
-	q.Cancel(ev) // must not corrupt the heap
+	q.Cancel(ev) // must not corrupt the queue
 	q.Schedule(10, func(Time) {})
 	if n := q.Drain(10); n != 1 {
 		t.Errorf("drained %d events, want 1", n)
@@ -171,7 +171,7 @@ func TestEventQueueStaleRefAfterRecycle(t *testing.T) {
 func TestEventQueueScheduleSteadyStateAllocs(t *testing.T) {
 	q := NewEventQueue()
 	fn := func(Time) {}
-	// Warm the free list and heap backing array.
+	// Warm the free list and ordered backing array.
 	for i := 0; i < 64; i++ {
 		q.Schedule(Time(i), fn)
 	}
@@ -258,7 +258,7 @@ func TestEventQueueCancelMiddleOfHeap(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		events = append(events, q.Schedule(Time(i*10), func(Time) { count++ }))
 	}
-	// Cancel every other event, including heap-internal nodes.
+	// Cancel every other event, including ones deep in the queue.
 	for i := 0; i < 20; i += 2 {
 		q.Cancel(events[i])
 	}
