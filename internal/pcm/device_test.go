@@ -204,7 +204,7 @@ func TestWearHistogram(t *testing.T) {
 	}
 	w.RecordBlockWrite(RegionBytes, Mode7SETs, WearDemandWrite) // region 1: 1 write -> 2^0
 	zero, buckets := w.RegionWearHistogram()
-	total := uint64(len(w.regionWear))
+	total := uint64(w.regions)
 	if zero != total-2 {
 		t.Errorf("zero regions = %d, want %d", zero, total-2)
 	}

@@ -7,11 +7,11 @@ const (
 	snapEnergySection = 0x5045 // "PE"
 )
 
-// Snapshot writes the wear state. The per-region array is huge (one
-// u32 per 4 KB of simulated memory: 2 M entries for the default 8 GB
-// device) but overwhelmingly zero after a warmup window, so it is
-// encoded sparsely as (index, value) pairs of the nonzero entries —
-// deterministic because the scan is in index order.
+// Snapshot writes the wear state. The per-region counters span the
+// whole device (one u32 per 4 KB of simulated memory: 2 M regions for
+// the default 8 GB device) but are overwhelmingly zero after a warmup
+// window, so they are encoded sparsely as (index, value) pairs of the
+// nonzero entries — deterministic because the scan is in index order.
 func (t *WearTracker) Snapshot(w *snapshot.Writer) {
 	w.Section(snapWearSection)
 	for _, v := range t.byKind {
@@ -25,19 +25,13 @@ func (t *WearTracker) Snapshot(w *snapshot.Writer) {
 		w.U64(v)
 	}
 	nonzero := uint32(0)
-	for _, v := range t.regionWear {
-		if v != 0 {
-			nonzero++
-		}
-	}
-	w.U32(uint32(len(t.regionWear)))
+	t.eachWorn(func(int, uint32) { nonzero++ })
+	w.U32(uint32(t.regions))
 	w.U32(nonzero)
-	for i, v := range t.regionWear {
-		if v != 0 {
-			w.U32(uint32(i))
-			w.U32(v)
-		}
-	}
+	t.eachWorn(func(i int, v uint32) {
+		w.U32(uint32(i))
+		w.U32(v)
+	})
 }
 
 // Restore loads wear state into a tracker for the same device geometry.
@@ -56,25 +50,23 @@ func (t *WearTracker) Restore(r *snapshot.Reader) {
 	for i := range t.bankWear {
 		t.bankWear[i] = r.U64()
 	}
-	if n := r.U32(); r.Err() == nil && int(n) != len(t.regionWear) {
-		r.Fail("wear: snapshot has %d regions, live tracker %d", n, len(t.regionWear))
+	if n := r.U32(); r.Err() == nil && int(n) != t.regions {
+		r.Fail("wear: snapshot has %d regions, live tracker %d", n, t.regions)
 		return
 	}
-	for i := range t.regionWear {
-		t.regionWear[i] = 0
-	}
-	nonzero := r.Count(len(t.regionWear))
+	clear(t.chunks)
+	nonzero := r.Count(t.regions)
 	for i := 0; i < nonzero; i++ {
 		idx := r.U32()
 		val := r.U32()
 		if r.Err() != nil {
 			return
 		}
-		if int(idx) >= len(t.regionWear) {
-			r.Fail("wear: region index %d out of range %d", idx, len(t.regionWear))
+		if int(idx) >= t.regions {
+			r.Fail("wear: region index %d out of range %d", idx, t.regions)
 			return
 		}
-		t.regionWear[idx] = val
+		*t.counter(uint64(idx)) = val
 	}
 }
 

@@ -51,13 +51,20 @@ func WearKinds() []WearKind {
 
 // WearTracker accumulates block-write counts at 4 KB region granularity,
 // split by cause and write mode, plus per-bank totals. Region granularity
-// keeps the footprint at 4 B per 4 KB of simulated memory (8 MB for the
-// default 8 GB device) while still exposing hotspot structure.
+// costs 4 B per 4 KB of simulated memory (8 MB for the default 8 GB
+// device) while still exposing hotspot structure.
+//
+// The region counters live in chunks of chunkRegions, allocated on the
+// first write into their range; a chunk no write reached stays nil and
+// reads as all zero. A run writes a small share of the device, so a
+// tracker holds a few hundred KB instead of the full 8 MB, and building
+// one does not clear 8 MB of reused heap.
 type WearTracker struct {
 	amap *AddressMap
 
 	regionShift uint
-	regionWear  []uint32
+	regions     int          // number of 4 KB regions on the device
+	chunks      []*wearChunk // regions [i*chunkRegions, (i+1)*chunkRegions)
 
 	byKind   [numWearKinds]uint64
 	byMode   [Slowest - Fastest + 1]uint64
@@ -74,18 +81,53 @@ func NewWearTracker(amap *AddressMap) *WearTracker {
 	t := &WearTracker{
 		amap:        amap,
 		regionShift: 12, // log2(RegionBytes)
-		regionWear:  make([]uint32, cfg.MemBytes/RegionBytes),
+		regions:     int(cfg.MemBytes / RegionBytes),
 		bankWear:    make([]uint64, cfg.TotalBanks()),
 	}
+	t.chunks = make([]*wearChunk, (t.regions+chunkRegions-1)/chunkRegions)
 	return t
+}
+
+// A chunk holds chunkRegions region counters: one 4 KB page of
+// counters, covering 4 MB of simulated memory.
+const (
+	chunkShift   = 10
+	chunkRegions = 1 << chunkShift
+)
+
+type wearChunk [chunkRegions]uint32
+
+// counter returns region's wear counter, allocating its chunk on first
+// use.
+func (t *WearTracker) counter(region uint64) *uint32 {
+	c := t.chunks[region>>chunkShift]
+	if c == nil {
+		c = new(wearChunk)
+		t.chunks[region>>chunkShift] = c
+	}
+	return &c[region&(chunkRegions-1)]
+}
+
+// eachWorn calls f for every region with nonzero wear, in region order.
+func (t *WearTracker) eachWorn(f func(region int, w uint32)) {
+	for ci, c := range t.chunks {
+		if c == nil {
+			continue
+		}
+		for i, w := range c {
+			if w != 0 {
+				f(ci<<chunkShift+i, w)
+			}
+		}
+	}
 }
 
 // RecordBlockWrite charges one wear unit for a block write at byte address
 // addr, caused by kind, using write mode m.
 func (t *WearTracker) RecordBlockWrite(addr uint64, m WriteMode, kind WearKind) {
 	region := (addr & (t.amap.Config().MemBytes - 1)) >> t.regionShift
-	if t.regionWear[region] != ^uint32(0) {
-		t.regionWear[region]++
+	if w := t.counter(region); *w != ^uint32(0) {
+		*w++
 	}
 	t.byKind[kind]++
 	t.byMode[m-Fastest]++
@@ -126,11 +168,9 @@ func (t *WearTracker) BankWear() []uint64 {
 // counts: returns (number of regions with zero wear, and for each power of
 // two ceiling the count of regions whose wear falls in (2^(k-1), 2^k]).
 func (t *WearTracker) RegionWearHistogram() (zero uint64, buckets [33]uint64) {
-	for _, w := range t.regionWear {
-		if w == 0 {
-			zero++
-			continue
-		}
+	zero = uint64(t.regions)
+	t.eachWorn(func(_ int, w uint32) {
+		zero--
 		k := 0
 		for v := uint64(w); v > 1; v >>= 1 {
 			k++
@@ -139,20 +179,18 @@ func (t *WearTracker) RegionWearHistogram() (zero uint64, buckets [33]uint64) {
 			k++
 		}
 		buckets[k]++
-	}
+	})
 	return zero, buckets
 }
 
 // MaxRegionWear returns the largest per-region wear count and how many
 // regions were written at all.
 func (t *WearTracker) MaxRegionWear() (max uint32, touched uint64) {
-	for _, w := range t.regionWear {
-		if w > 0 {
-			touched++
-			if w > max {
-				max = w
-			}
+	t.eachWorn(func(_ int, w uint32) {
+		touched++
+		if w > max {
+			max = w
 		}
-	}
+	})
 	return max, touched
 }
