@@ -12,9 +12,8 @@
 #          allocs/op per benchmark, diffed against the recorded
 #          pre-optimization baseline; includes the cold/warm sweep pair,
 #          the trace generator/replay trio, the full-vs-sampled run
-#          pair whose ns/op ratio is the sampling speedup, the hybrid
-#          DRAM hit/migration pair, and the serial-vs-sharded
-#          full-system pair whose ns/op ratio is the sharding speedup)
+#          pair whose ns/op ratio is the sampling speedup, and the
+#          hybrid DRAM hit/migration pair)
 #   bench-check
 #          CI perf gate: re-run the tracked benchmarks and fail on a
 #          >10% ns/op or any allocs/op regression vs BENCH_10.json
@@ -34,10 +33,6 @@
 # (8 windows, stride-16 fast-forward) and fails unless the sampled 95%
 # interval contains the full-run IPC and the sampled run is faster.
 #
-# shard-smoke runs one configuration through rrmsim on the serial
-# engine and at -shards 4 and fails unless the JSON metrics are
-# byte-identical (DESIGN.md §17).
-#
 # cluster-smoke boots a coordinator and two workers as real processes,
 # SIGKILLs one worker mid-flight and fails unless every job completes
 # with zero duplicate simulations. cluster-load runs the acceptance
@@ -45,7 +40,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-json bench-check profile ci serve-smoke replay-smoke sample-smoke shard-smoke cluster-smoke cluster-load
+.PHONY: build vet test race bench bench-json bench-check profile ci serve-smoke replay-smoke sample-smoke cluster-smoke cluster-load
 
 build:
 	$(GO) build ./...
@@ -81,9 +76,6 @@ replay-smoke:
 
 sample-smoke:
 	GO="$(GO)" ./scripts/sample_smoke.sh
-
-shard-smoke:
-	GO="$(GO)" ./scripts/shard_smoke.sh
 
 cluster-smoke:
 	GO="$(GO)" ./scripts/cluster_smoke.sh

@@ -444,34 +444,6 @@ func BenchmarkFullSystemSimulation(b *testing.B) {
 	reportSimRate(b, insts)
 }
 
-// BenchmarkShardedSimulation is BenchmarkFullSystemSimulation on the
-// sharded event engine: one shard per memory channel (4 on the default
-// device) behind conservative epoch barriers. Metrics are byte-identical
-// to the serial run (internal/sim TestShardsMetricsIdentical); the ns/op
-// ratio against BenchmarkFullSystemSimulation is the recorded engine
-// speedup in BENCH_10.json.
-func BenchmarkShardedSimulation(b *testing.B) {
-	w, err := WorkloadByName("GemsFDTD")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig(RRMScheme(), w)
-		cfg.Duration = 2 * Millisecond
-		cfg.Warmup = 500 * Microsecond
-		cfg.TimeScale = 1000
-		cfg.Shards = 4
-		m, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts += m.Instructions
-	}
-	reportSimRate(b, insts)
-}
-
 // BenchmarkReliabilitySimulation measures the end-to-end cost of the
 // fault-injection/ECC/scrubbing model on a full-system run (compare
 // against BenchmarkFullSystemSimulation for the disabled baseline).

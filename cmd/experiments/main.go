@@ -50,7 +50,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "disk-backed run cache directory (empty = memory only)")
 	warmStart := flag.Bool("warm-start", false, "share simulation warmup across runs with equal warm prefixes")
-	shards := flag.Int("shards", 0, "sharded event execution per run: 0 = serial, -1 = auto (one shard per channel), N = N channel shards; results are byte-identical at any setting")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-simulation wall-clock budget (0 = none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the pass to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -112,7 +111,6 @@ func main() {
 		Parallel:   *parallel,
 		CacheDir:   *cacheDir,
 		WarmStart:  *warmStart,
-		Shards:     *shards,
 		JobTimeout: *jobTimeout,
 		Context:    ctx,
 	}

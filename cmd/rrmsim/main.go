@@ -95,7 +95,6 @@ func main() {
 	coverage := flag.Int("coverage", 4, "RRM LLC coverage rate (2/4/8/16)")
 	regionKB := flag.Uint64("region-kb", 4, "RRM entry coverage size in KB")
 	seed := flag.Uint64("seed", 1, "workload seed")
-	shards := flag.Int("shards", 0, "sharded event execution: 0 = serial engine, -1 = auto (one shard per memory channel), N = N channel shards (must divide the channel count); metrics are byte-identical at any setting")
 	parallel := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "disk-backed run cache directory (empty = no cache)")
 	warmStart := flag.Bool("warm-start", false, "share simulation warmup across runs with equal warm prefixes")
@@ -195,7 +194,6 @@ func main() {
 		cfg.Warmup = rrmpcm.Time(warmup.Nanoseconds()) * rrmpcm.Nanosecond
 		cfg.TimeScale = *timescale
 		cfg.Seed = *seed
-		cfg.Shards = *shards
 		if *reliabilityOn {
 			rel := rrmpcm.DefaultReliabilityConfig()
 			rel.Enabled = true

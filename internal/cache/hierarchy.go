@@ -140,12 +140,6 @@ func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 // LLC exposes the shared cache (read-only use: stats, lookups).
 func (h *Hierarchy) LLC() *Cache { return h.llc }
 
-// L1DStats, L2Stats return per-core level stats.
-func (h *Hierarchy) L1DStats(core int) Stats { return h.l1d[core].Stats() }
-
-// L2Stats returns the private L2 stats of a core.
-func (h *Hierarchy) L2Stats(core int) Stats { return h.l2[core].Stats() }
-
 // CountInstructions adds retired instructions for MPKI accounting.
 func (h *Hierarchy) CountInstructions(n uint64) { h.insts += n }
 

@@ -102,9 +102,6 @@ func OpenDisk(root string) (*Disk, error) {
 	return &Disk{root: root}, nil
 }
 
-// Root returns the store's root directory.
-func (d *Disk) Root() string { return d.root }
-
 func (d *Disk) path(kind Kind, key string) string {
 	return filepath.Join(d.root, string(kind), key+kind.ext())
 }

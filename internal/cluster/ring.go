@@ -95,16 +95,6 @@ func (r *Ring) Has(id string) bool {
 // Len reports the number of workers on the ring.
 func (r *Ring) Len() int { return len(r.ids) }
 
-// Members returns the worker IDs in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.ids))
-	for id := range r.ids {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owner returns the worker owning key: the first virtual point at or
 // clockwise after the key's hash.
 func (r *Ring) Owner(key string) (string, bool) {

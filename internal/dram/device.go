@@ -26,14 +26,6 @@ type Stats struct {
 	EnergyWriteJ float64
 }
 
-// RowHitRate returns the row-buffer hit fraction.
-func (s Stats) RowHitRate() float64 {
-	if t := s.RowHits + s.RowMisses; t > 0 {
-		return float64(s.RowHits) / float64(t)
-	}
-	return 0
-}
-
 type dbank struct {
 	freeAt  timing.Time
 	openTag uint64

@@ -135,9 +135,6 @@ func New(opt Options) *Engine {
 	return &Engine{opt: opt}
 }
 
-// Parallel reports the engine's worker count.
-func (e *Engine) Parallel() int { return e.opt.Parallel }
-
 // SimsExecuted reports how many simulations this engine actually
 // launched — cache hits and jobs cancelled before dispatch excluded.
 // The cluster's zero-duplicate-work guarantee is asserted against this

@@ -60,12 +60,6 @@ type hashImage struct {
 	// omitempty pattern: every PCM-only config keeps its pre-hybrid hash
 	// and the run cache/artifact store stay valid).
 	Hybrid *dram.HybridConfig `json:",omitempty"`
-
-	// Shards is present only for sharded-engine runs (same omitempty
-	// pattern: serial configs keep their existing hash). Sharded results
-	// are byte-identical to serial — the distinct key is deliberately
-	// conservative, never incorrect.
-	Shards int `json:",omitempty"`
 }
 
 // schemeImage mirrors sim.Scheme with Custom flattened to its name.
@@ -117,7 +111,6 @@ func ConfigHash(cfg sim.Config) (string, error) {
 		hc := *cfg.Hybrid
 		img.Hybrid = &hc
 	}
-	img.Shards = cfg.Shards
 	blob, err := json.Marshal(img)
 	if err != nil {
 		return "", fmt.Errorf("engine: hashing config: %w", err)

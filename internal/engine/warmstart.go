@@ -29,7 +29,7 @@ import (
 // warmHashVersion guards the warm-key space: bump it whenever the
 // snapshot encoding or the simulation's warmup behavior changes, so
 // stale disk snapshots from older builds stop matching.
-const warmHashVersion = "rrmpcm-warm-v4" // v4: sim snapshot format 4 (shard-mailbox section)
+const warmHashVersion = "rrmpcm-warm-v4" // v4: sim snapshot format 4 (mailbox-count field)
 
 // warmImage is the warmup-relevant prefix of a config: hashImage minus
 // the knobs that only matter after the warmup boundary (Duration,

@@ -65,10 +65,6 @@ type Options struct {
 	// to cold runs. Snapshots persist under CacheDir/snapshots when the
 	// disk cache is on, in memory otherwise.
 	WarmStart bool
-	// Shards selects the sharded event-execution engine for every run of
-	// the pass (sim.Config.Shards: 0 serial, -1 one shard per channel).
-	// Results are byte-identical at any setting.
-	Shards int
 }
 
 // SimConfig builds the run configuration for a scheme/workload pair
@@ -97,7 +93,6 @@ func (o Options) SimConfig(scheme sim.Scheme, w trace.Workload) sim.Config {
 	if o.Reliability.Enabled {
 		cfg.Reliability = o.Reliability
 	}
-	cfg.Shards = o.Shards
 	return cfg
 }
 

@@ -41,13 +41,9 @@ func New(cfg Config, amap *pcm.AddressMap, eq *timing.EventQueue, rec Recorder) 
 	c := &Controller{cfg: cfg, amap: amap, eq: eq, rec: rec}
 	dev := amap.Config()
 	for i := 0; i < dev.Channels; i++ {
-		ch := &channel{ctl: c, id: i, eq: eq, banks: make([]bankState, dev.Banks),
+		ch := &channel{ctl: c, id: i, banks: make([]bankState, dev.Banks),
 			bankFree: make([]timing.Time, dev.Banks)}
-		if dev.Banks > 64 {
-			ch.wideBanks = true
-		} else {
-			ch.bankMaskAll = ^uint64(0) >> (64 - uint(dev.Banks))
-		}
+		ch.bankMaskAll = ^uint64(0) >> (64 - uint(dev.Banks))
 		ch.queues[ReadReq] = make([]*Request, 0, cfg.ReadQueueCap)
 		ch.queues[WriteReq] = make([]*Request, 0, cfg.WriteQueueCap)
 		ch.queues[RefreshReq] = make([]*Request, 0, cfg.RefreshQueueCap)
@@ -69,27 +65,6 @@ func New(cfg Config, amap *pcm.AddressMap, eq *timing.EventQueue, rec Recorder) 
 
 // Config returns the controller configuration.
 func (c *Controller) Config() Config { return c.cfg }
-
-// SetShardQueues switches the controller to the sharded execution
-// engine: channel i schedules its events (completions, pauses, space
-// deliveries) on qs[i] — several channels may share one queue when a
-// shard covers more than one channel — and replaces the armWakeup
-// re-scan with an incremental per-channel timer slot: the scheduler
-// scans record the earliest instant any blocked request could start,
-// and the wakeup is re-aimed with a single store instead of a
-// Cancel+Schedule heap round-trip. Must be called before any traffic;
-// the serial engine (without this call) is byte-frozen, including its
-// event and snapshot stream.
-func (c *Controller) SetShardQueues(qs []*timing.EventQueue) {
-	if len(qs) != len(c.chans) {
-		panic(fmt.Sprintf("memctrl: %d shard queues for %d channels", len(qs), len(c.chans)))
-	}
-	for i, ch := range c.chans {
-		ch.eq = qs[i]
-		ch.fast = true
-		ch.timer = qs[i].NewTimer(ch.wakeupFn)
-	}
-}
 
 // SetReadIntegrity installs the demand-read ECC hook. Must be called
 // before the simulation starts; nil leaves reads uninspected.
@@ -226,12 +201,12 @@ func (c *Controller) TryEnqueue(req *Request) bool {
 		if req.pooled {
 			req.forwarded = true
 			done := now + lat
-			c.trackFlight(req, done, ch.eq.Schedule(done, req.doneFn).Seq())
+			c.trackFlight(req, done, c.eq.Schedule(done, req.doneFn).Seq())
 			return true
 		}
 		done := req.OnDone
 		addr := req.Addr
-		ch.eq.Schedule(now+lat, func(t timing.Time) {
+		c.eq.Schedule(now+lat, func(t timing.Time) {
 			c.rec.RecordRead(addr)
 			if done != nil {
 				done(t)
@@ -379,21 +354,11 @@ type channel struct {
 	ctl *Controller
 	id  int
 
-	// eq is the event queue this channel schedules on: the controller's
-	// global queue in the serial engine, the channel's shard queue under
-	// SetShardQueues. Both share the simulation clock.
-	eq *timing.EventQueue
-
-	// fast selects the sharded engine's wakeup bookkeeping; timer is its
-	// per-channel deadline slot (replaces the wakeupEv heap event).
-	fast  bool
-	timer *timing.Timer
-
-	// Bank bitmasks, valid when the channel has at most 64 banks
-	// (wideBanks false; wider geometries fall back to linear scans).
-	// pausedMask, pausableMask and wrMask are exact: banks whose
-	// in-flight write is paused, still pausable (active, no pause
-	// pending), respectively present at all. busyMask over-approximates
+	// Bank bitmasks (pcm.DeviceConfig.Validate caps a channel at 64
+	// banks, so one word covers them). pausedMask, pausableMask and
+	// wrMask are exact: banks whose in-flight write is paused, still
+	// pausable (active, no pause pending), respectively present at
+	// all. busyMask over-approximates
 	// the banks with bankFree in the future between kicks and is pruned
 	// exact at kick entry — time stands still inside a kick, so it stays
 	// exact through every tryStart iteration and the queue scans reduce
@@ -403,10 +368,9 @@ type channel struct {
 	busyMask     uint64
 	wrMask       uint64
 	bankMaskAll  uint64
-	wideBanks    bool
 
-	// Queue-occupancy masks (narrow geometries only): banks with at
-	// least one queued read / write / refresh. Intersected with the
+	// Queue-occupancy masks: banks with at least one queued read /
+	// write / refresh. Intersected with the
 	// free-bank masks they answer "can any queued transaction start?"
 	// in O(1), so a kick whose scan would find nothing never walks the
 	// queues at all.
@@ -414,8 +378,9 @@ type channel struct {
 	writesMask  uint64
 	refreshMask uint64
 
-	// writesPerBank/refreshPerBank mirror readsPerBank for the other two
-	// queues; they exist to clear the occupancy masks exactly.
+	// Queued requests per bank, one array per queue; they exist to
+	// clear the occupancy masks exactly.
+	readsPerBank   []int32
 	writesPerBank  []int32
 	refreshPerBank []int32
 
@@ -426,10 +391,6 @@ type channel struct {
 	// it (bankState's former freeAt field, split out so the armWakeup
 	// min-scan reads a dense timestamp array).
 	bankFree []timing.Time
-
-	// readsPerBank counts queued reads per bank, so resume decisions
-	// (readWaitingFor) are O(1) instead of a read-queue scan.
-	readsPerBank []int32
 
 	// blockWrites counts queued writes+refreshes per 64 B block (only
 	// when ReadForwarding is enabled), so forwarding lookups are O(1)
@@ -458,15 +419,13 @@ func (ch *channel) forwards(addr uint64) bool {
 // kick starts every transaction that can begin now, then arms a wakeup
 // for the earliest future opportunity.
 func (ch *channel) kick(now timing.Time) {
-	if !ch.wideBanks {
-		// Prune busyMask exact once per kick: no time passes inside the
-		// tryStart loop, so a bit cleared here stays clear and a start
-		// re-sets its own bit, keeping the mask exact throughout.
-		for m := ch.busyMask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			if ch.bankFree[i] <= now {
-				ch.busyMask &^= 1 << uint(i)
-			}
+	// Prune busyMask exact once per kick: no time passes inside the
+	// tryStart loop, so a bit cleared here stays clear and a start
+	// re-sets its own bit, keeping the mask exact throughout.
+	for m := ch.busyMask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if ch.bankFree[i] <= now {
+			ch.busyMask &^= 1 << uint(i)
 		}
 	}
 	for ch.tryStart(now) {
@@ -474,26 +433,12 @@ func (ch *channel) kick(now timing.Time) {
 	ch.armWakeup(now)
 }
 
-// bankFreeForRead: the bank is idle, or holds only a paused write.
-func (ch *channel) bankFreeForRead(bank int, now timing.Time) bool {
-	wr := ch.banks[bank].wr
-	return ch.bankFree[bank] <= now && (wr == nil || wr.paused)
-}
-
-// bankFreeForWrite: the bank is idle with no in-flight write at all.
-func (ch *channel) bankFreeForWrite(bank int, now timing.Time) bool {
-	return ch.bankFree[bank] <= now && ch.banks[bank].wr == nil
-}
-
 // tryStart attempts to begin one transaction; it returns true if a bank
-// was newly occupied (so the caller loops). The mask path relies on
-// busyMask being exact (kick prunes it on entry): a queue entry's bank
-// eligibility is one bit test instead of per-entry bank-state loads.
+// was newly occupied (so the caller loops). It relies on busyMask being
+// exact (kick prunes it on entry): a queue entry's bank eligibility is
+// one bit test instead of per-entry bank-state loads.
 func (ch *channel) tryStart(now timing.Time) bool {
 	ch.updateDrainMode()
-	if ch.wideBanks {
-		return ch.tryStartWide(now)
-	}
 
 	freeWrite := ^(ch.busyMask | ch.wrMask) & ch.bankMaskAll
 	freeRead := ^ch.busyMask & (^ch.wrMask | ch.pausedMask) & ch.bankMaskAll
@@ -551,51 +496,6 @@ func (ch *channel) tryStart(now timing.Time) bool {
 	return ch.tryWriteMask(now, freeWrite)
 }
 
-// tryStartWide is tryStart for geometries beyond 64 banks per channel,
-// where the bitmasks cannot cover the bank set and every check reads
-// bank state directly.
-func (ch *channel) tryStartWide(now timing.Time) bool {
-	for i, r := range ch.queues[RefreshReq] {
-		if ch.bankFreeForWrite(r.loc.Bank, now) {
-			ch.dequeue(RefreshReq, i, now)
-			ch.startWrite(r, now)
-			return true
-		}
-	}
-
-	if ch.draining {
-		if ch.tryResume(now, false) || ch.tryWrite(now) {
-			return true
-		}
-		if idx := ch.pickRead(now); idx >= 0 {
-			r := ch.queues[ReadReq][idx]
-			ch.dequeue(ReadReq, idx, now)
-			ch.startRead(r, now)
-			return true
-		}
-		return false
-	}
-
-	if idx := ch.pickRead(now); idx >= 0 {
-		r := ch.queues[ReadReq][idx]
-		ch.dequeue(ReadReq, idx, now)
-		ch.startRead(r, now)
-		return true
-	}
-	if ch.ctl.cfg.WritePausing {
-		for _, r := range ch.queues[ReadReq] {
-			b := &ch.banks[r.loc.Bank]
-			if b.wr != nil && !b.wr.paused && !b.wr.pausePending {
-				ch.requestPause(b.wr, now)
-			}
-		}
-	}
-	if ch.tryResume(now, true) {
-		return true
-	}
-	return ch.tryWrite(now)
-}
-
 // updateDrainMode applies the write-queue watermark hysteresis.
 func (ch *channel) updateDrainMode() {
 	n := len(ch.queues[WriteReq])
@@ -610,48 +510,24 @@ func (ch *channel) updateDrainMode() {
 // tryResume restarts one paused write on a free bank. Outside drain mode
 // a waiting read keeps the write paused (respectReads).
 func (ch *channel) tryResume(now timing.Time, respectReads bool) bool {
-	if !ch.wideBanks {
-		// Paused writes on non-busy banks (a read may occupy a paused
-		// bank, which is what busyMask excludes), minus banks a queued
-		// read still wants when reads have priority; TrailingZeros picks
-		// the lowest bank, matching the linear scan's order.
-		m := ch.pausedMask &^ ch.busyMask
-		if respectReads {
-			m &^= ch.readsMask
-		}
-		if m != 0 {
-			i := bits.TrailingZeros64(m)
-			ch.resumeWrite(ch.banks[i].wr, now)
-			return true
-		}
+	// Paused writes on non-busy banks (a read may occupy a paused bank,
+	// which is what busyMask excludes), minus banks a queued read still
+	// wants when reads have priority; TrailingZeros picks the lowest bank.
+	m := ch.pausedMask &^ ch.busyMask
+	if respectReads {
+		m &^= ch.readsMask
+	}
+	if m == 0 {
 		return false
 	}
-	for i := range ch.banks {
-		b := &ch.banks[i]
-		if b.wr != nil && b.wr.paused && ch.bankFree[i] <= now &&
-			(!respectReads || ch.readsPerBank[i] == 0) {
-			ch.resumeWrite(b.wr, now)
-			return true
-		}
-	}
-	return false
+	ch.resumeWrite(ch.banks[bits.TrailingZeros64(m)].wr, now)
+	return true
 }
 
-// tryWrite starts the oldest startable demand write.
-func (ch *channel) tryWrite(now timing.Time) bool {
-	for i, r := range ch.queues[WriteReq] {
-		if ch.bankFreeForWrite(r.loc.Bank, now) {
-			ch.dequeue(WriteReq, i, now)
-			ch.startWrite(r, now)
-			return true
-		}
-	}
-	return false
-}
-
-// tryWriteMask is tryWrite against a precomputed free-for-write mask.
-// Intersecting with writesMask makes the no-startable-write case O(1):
-// the queue walk only runs when it is guaranteed to start something.
+// tryWriteMask starts the oldest demand write whose bank is in the
+// free-for-write mask. Intersecting with writesMask makes the
+// no-startable-write case O(1): the queue walk only runs when it is
+// guaranteed to start something.
 func (ch *channel) tryWriteMask(now timing.Time, freeWrite uint64) bool {
 	freeWrite &= ch.writesMask
 	if freeWrite == 0 {
@@ -667,34 +543,10 @@ func (ch *channel) tryWriteMask(now timing.Time, freeWrite uint64) bool {
 	return false
 }
 
-// pickRead selects the next read per FR-FCFS: the oldest row-buffer hit
-// on a serviceable bank, else the oldest read on a serviceable bank.
-// Row misses additionally require a tFAW activation slot.
-func (ch *channel) pickRead(now timing.Time) int {
-	q := ch.queues[ReadReq]
-	if len(q) == 0 {
-		return -1
-	}
-	// The tFAW admission check is loop-invariant; hoist it.
-	actOK := ch.actAllowedAt(now) <= now
-	oldest := -1
-	for i, r := range q {
-		b := &ch.banks[r.loc.Bank]
-		if !ch.bankFreeForRead(r.loc.Bank, now) {
-			continue
-		}
-		if b.hasOpen && b.openTag == r.rowTag {
-			return i // row-buffer hit wins immediately (queue is FIFO-ordered)
-		}
-		if oldest < 0 && actOK {
-			oldest = i
-		}
-	}
-	return oldest
-}
-
-// pickReadMask is pickRead against a precomputed free-for-read mask.
-// Intersecting with readsMask makes the no-serviceable-read case O(1).
+// pickReadMask selects the next read per FR-FCFS among banks in the
+// free-for-read mask: the oldest row-buffer hit, else the oldest read.
+// Row misses additionally require a tFAW activation slot. Intersecting
+// with readsMask makes the no-serviceable-read case O(1).
 func (ch *channel) pickReadMask(now timing.Time, freeRead uint64) int {
 	freeRead &= ch.readsMask
 	if freeRead == 0 {
@@ -780,7 +632,7 @@ func (ch *channel) dequeue(kind RequestKind, i int, now timing.Time) {
 		ch.waiterSpare[kind] = nil
 		// Deliver on a fresh event: waiters re-enqueue requests, which
 		// must not re-enter the scheduler while it is mid-scan.
-		ch.eq.Schedule(now, func(t timing.Time) {
+		ch.ctl.eq.Schedule(now, func(t timing.Time) {
 			for i, fn := range waiters {
 				waiters[i] = nil
 				fn(t)
@@ -827,10 +679,10 @@ func (ch *channel) startRead(r *Request, now timing.Time) {
 		ch.ctl.stats.ReadLatencyMax = lat
 	}
 	if r.pooled {
-		ch.ctl.trackFlight(r, done, ch.eq.Schedule(done, r.doneFn).Seq())
+		ch.ctl.trackFlight(r, done, ch.ctl.eq.Schedule(done, r.doneFn).Seq())
 		return
 	}
-	ch.eq.Schedule(done, func(t timing.Time) {
+	ch.ctl.eq.Schedule(done, func(t timing.Time) {
 		ch.ctl.rec.RecordRead(r.Addr)
 		if r.OnDone != nil {
 			r.OnDone(t)
@@ -885,7 +737,7 @@ func (ch *channel) startWrite(r *Request, now timing.Time) {
 	ch.pausableMask |= 1 << uint(r.loc.Bank)
 	ch.wrMask |= 1 << uint(r.loc.Bank)
 	ch.ctl.stats.BankBusy += done - now
-	wr.completion = ch.eq.Schedule(done, wr.completeFn)
+	wr.completion = ch.ctl.eq.Schedule(done, wr.completeFn)
 }
 
 // resumeWrite restarts a paused write's remaining SET iterations.
@@ -899,7 +751,7 @@ func (ch *channel) resumeWrite(wr *inflightWrite, now timing.Time) {
 	ch.bankFree[wr.bank] = done
 	ch.busyMask |= 1 << uint(wr.bank)
 	ch.ctl.stats.BankBusy += done - now
-	wr.completion = ch.eq.Schedule(done, wr.completeFn)
+	wr.completion = ch.ctl.eq.Schedule(done, wr.completeFn)
 }
 
 // requestPause arranges for wr to pause at its next iteration boundary.
@@ -911,7 +763,7 @@ func (ch *channel) requestPause(wr *inflightWrite, now timing.Time) {
 	wr.pausePending = true
 	ch.pausableMask &^= 1 << uint(wr.bank)
 	wr.pauseEvAt = boundary
-	wr.pauseEvSeq = ch.eq.Schedule(boundary, wr.pauseFn).Seq()
+	wr.pauseEvSeq = ch.ctl.eq.Schedule(boundary, wr.pauseFn).Seq()
 }
 
 // pauseAt suspends wr at boundary time t (if it is still running).
@@ -930,7 +782,7 @@ func (ch *channel) pauseAt(wr *inflightWrite, t timing.Time) {
 	if wr.completionTime() <= t {
 		return // completion event at this same instant will handle it
 	}
-	ch.eq.Cancel(wr.completion)
+	ch.ctl.eq.Cancel(wr.completion)
 	wr.completion = timing.EventRef{}
 	wr.setsLeft -= wr.setsDoneBy(t)
 	wr.runHasReset = false
@@ -985,14 +837,9 @@ func (ch *channel) wakeup(t timing.Time) {
 }
 
 // armWakeup schedules a re-scan at the earliest future instant any
-// pending work could start. On the sharded engine the wakeup lives in a
-// timer slot instead of a heap event: re-aiming is two stores instead of
-// a Cancel+Schedule sift round-trip, and since Arm draws a sequence
-// number exactly like Schedule, the timer fires in precisely the
-// position the replaced event would have — the serial dispatch order is
-// preserved bit-for-bit.
+// pending work could start.
 func (ch *channel) armWakeup(now timing.Time) {
-	pendingWork := false
+	pendingWork := ch.pausedMask != 0
 	for _, q := range ch.queues {
 		if len(q) > 0 {
 			pendingWork = true
@@ -1000,40 +847,20 @@ func (ch *channel) armWakeup(now timing.Time) {
 		}
 	}
 	if !pendingWork {
-		if !ch.wideBanks {
-			pendingWork = ch.pausedMask != 0
-		} else {
-			for i := range ch.banks {
-				if ch.banks[i].wr != nil && ch.banks[i].wr.paused {
-					pendingWork = true
-					break
-				}
-			}
-		}
-	}
-	if !pendingWork {
 		return
 	}
 	at := timing.Forever
-	if !ch.wideBanks {
-		// busyMask over-approximates the banks still running; prune
-		// the bits whose transactions already finished as we walk.
-		for m := ch.busyMask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			free := ch.bankFree[i]
-			if free <= now {
-				ch.busyMask &^= 1 << uint(i)
-				continue
-			}
-			if free < at {
-				at = free
-			}
+	// busyMask over-approximates the banks still running; prune the bits
+	// whose transactions already finished as we walk.
+	for m := ch.busyMask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		free := ch.bankFree[i]
+		if free <= now {
+			ch.busyMask &^= 1 << uint(i)
+			continue
 		}
-	} else {
-		for _, free := range ch.bankFree {
-			if free > now && free < at {
-				at = free
-			}
+		if free < at {
+			at = free
 		}
 	}
 	if t := ch.actAllowedAt(now); t > now && t < at {
@@ -1045,22 +872,14 @@ func (ch *channel) armWakeup(now timing.Time) {
 	if at == timing.Forever {
 		return // everything is free; nothing further will unblock by time alone
 	}
-	if ch.fast {
-		if ch.timer.Armed() && ch.wakeupAt <= at {
-			return // an earlier or equal wakeup is already armed
-		}
-		ch.wakeupAt = at
-		ch.timer.Arm(ch.eq, at)
-		return
-	}
 	if ch.wakeupEv.Valid() {
 		if ch.wakeupAt <= at {
 			return // an earlier or equal wakeup is already armed
 		}
 		// A later wakeup is pending: replace it, or the heap fills
 		// with dead events.
-		ch.eq.Cancel(ch.wakeupEv)
+		ch.ctl.eq.Cancel(ch.wakeupEv)
 	}
 	ch.wakeupAt = at
-	ch.wakeupEv = ch.eq.Schedule(at, ch.wakeupFn)
+	ch.wakeupEv = ch.ctl.eq.Schedule(at, ch.wakeupFn)
 }

@@ -113,18 +113,10 @@ func (c *Controller) Snapshot(w *snapshot.Writer) error {
 				}
 			}
 		}
-		// The wakeup lives in a heap event (serial engine) or a timer slot
-		// (sharded engine); both carry the same (at, seq) position, so the
-		// snapshot bytes are identical whichever engine wrote them.
-		armed := ch.wakeupEv.Valid() || (ch.fast && ch.timer.Armed())
-		w.Bool(armed)
-		if armed {
+		w.Bool(ch.wakeupEv.Valid())
+		if ch.wakeupEv.Valid() {
 			w.I64(int64(ch.wakeupAt))
-			if ch.fast {
-				w.I64(ch.timer.Seq())
-			} else {
-				w.I64(ch.wakeupEv.Seq())
-			}
+			w.I64(ch.wakeupEv.Seq())
 		}
 	}
 	w.U32(uint32(len(c.inflight)))
@@ -207,14 +199,14 @@ func (c *Controller) Restore(r *snapshot.Reader, resolve OwnerResolver, pend *[]
 				seq := r.I64()
 				at := wr.completionTime()
 				*pend = append(*pend, timing.Pending{At: at, Seq: seq, Arm: func() {
-					wr.completion = cch.eq.Schedule(at, wr.completeFn)
+					wr.completion = c.eq.Schedule(at, wr.completeFn)
 				}})
 			}
 			if wr.pausePending {
 				wr.pauseEvAt = timing.Time(r.I64())
 				wr.pauseEvSeq = r.I64()
 				*pend = append(*pend, timing.Pending{At: wr.pauseEvAt, Seq: wr.pauseEvSeq, Arm: func() {
-					wr.pauseEvSeq = cch.eq.Schedule(wr.pauseEvAt, wr.pauseFn).Seq()
+					wr.pauseEvSeq = c.eq.Schedule(wr.pauseEvAt, wr.pauseFn).Seq()
 				}})
 			}
 		}
@@ -261,11 +253,7 @@ func (c *Controller) Restore(r *snapshot.Reader, resolve OwnerResolver, pend *[]
 			seq := r.I64()
 			*pend = append(*pend, timing.Pending{At: at, Seq: seq, Arm: func() {
 				cch.wakeupAt = at
-				if cch.fast {
-					cch.timer.Arm(cch.eq, at) // draws the next seq, like Schedule
-				} else {
-					cch.wakeupEv = cch.eq.Schedule(at, cch.wakeupFn)
-				}
+				cch.wakeupEv = c.eq.Schedule(at, cch.wakeupFn)
 			}})
 		}
 	}
@@ -281,7 +269,7 @@ func (c *Controller) Restore(r *snapshot.Reader, resolve OwnerResolver, pend *[]
 		seq := r.I64()
 		rr := req
 		*pend = append(*pend, timing.Pending{At: at, Seq: seq, Arm: func() {
-			c.trackFlight(rr, at, c.chans[rr.loc.Channel].eq.Schedule(at, rr.doneFn).Seq())
+			c.trackFlight(rr, at, c.eq.Schedule(at, rr.doneFn).Seq())
 		}})
 	}
 	c.stats = Stats{}

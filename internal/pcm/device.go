@@ -57,6 +57,10 @@ func (c DeviceConfig) Validate() error {
 			return err
 		}
 	}
+	if c.Banks > 64 {
+		// The controller tracks a channel's banks in 64-bit masks.
+		return fmt.Errorf("pcm: %d banks per channel (at most 64)", c.Banks)
+	}
 	if c.RowBufBytes > c.RowBytes {
 		return fmt.Errorf("pcm: row buffer (%d) larger than row (%d)", c.RowBufBytes, c.RowBytes)
 	}

@@ -23,6 +23,7 @@ func TestDeviceConfigValidation(t *testing.T) {
 		func(c *DeviceConfig) { c.MemBytes = 3 << 30 },
 		func(c *DeviceConfig) { c.Channels = 3 },
 		func(c *DeviceConfig) { c.Banks = 0 },
+		func(c *DeviceConfig) { c.Banks = 128 },
 		func(c *DeviceConfig) { c.RowBufBytes = c.RowBytes * 2 },
 		func(c *DeviceConfig) { c.BlockBytes = c.RowBufBytes * 2 },
 		func(c *DeviceConfig) { c.MemBytes = 1 << 10 },

@@ -1,6 +1,7 @@
 package pcm
 
 import (
+	"math"
 	"testing"
 
 	"rrmpcm/internal/timing"
@@ -128,4 +129,49 @@ func BenchmarkDriftExpired(b *testing.B) {
 		}
 		_ = sink
 	})
+}
+
+// TestDriftTableBitErrorProbMatchesModel checks the hoisted fault-injection
+// path against its reference, the model's direct evaluation: both are
+// exactly 0 up to the retention deadline, and past it they agree to a
+// relative 1e-12 (the table multiplies by hoisted reciprocals where the
+// model divides). Out-of-range SET counts are an error in the model and
+// probability 1 in the table.
+func TestDriftTableBitErrorProbMatchesModel(t *testing.T) {
+	tab := DefaultDriftTable()
+	m := tab.Model()
+	const steps = 16 // grid points per retention period
+	for _, mode := range Modes() {
+		sets := mode.Sets()
+		ret, err := tab.Retention(sets)
+		if err != nil {
+			t.Fatalf("Retention(%d): %v", sets, err)
+		}
+		for k := 0; k <= 10*steps; k++ {
+			el := ret / steps * timing.Time(k)
+			want, err := m.BitErrorProb(sets, el)
+			if err != nil {
+				t.Fatalf("model BitErrorProb(%d, %v): %v", sets, el, err)
+			}
+			got := tab.BitErrorProb(sets, el)
+			if el <= ret {
+				if got != 0 || want != 0 {
+					t.Errorf("mode %v at %v (retention %v): table %g, model %g, want exact 0",
+						mode, el, ret, got, want)
+				}
+				continue
+			}
+			if want <= 0 || math.Abs(got-want) > 1e-12*want {
+				t.Errorf("mode %v at %v: table %.17g, model %.17g (rel tol 1e-12)", mode, el, got, want)
+			}
+		}
+	}
+	for _, sets := range []int{Fastest.Sets() - 1, Slowest.Sets() + 1} {
+		if _, err := m.BitErrorProb(sets, timing.Second); err == nil {
+			t.Errorf("model BitErrorProb(%d): want error", sets)
+		}
+		if p := tab.BitErrorProb(sets, timing.Second); p != 1 {
+			t.Errorf("table BitErrorProb(%d) = %g, want 1", sets, p)
+		}
+	}
 }

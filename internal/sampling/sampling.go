@@ -74,9 +74,6 @@ func RunParallel(ctx context.Context, cfg sim.Config, parallel int) (sim.Metrics
 	if err != nil {
 		return sim.Metrics{}, err
 	}
-	// The snapshot-producing run is abandoned after the last snapshot
-	// (it never Measures); release its shard workers explicitly.
-	defer sys.Close()
 	if err := sys.Warmup(ctx); err != nil {
 		return sim.Metrics{}, err
 	}

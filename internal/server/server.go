@@ -258,9 +258,6 @@ func (s *Server) Ready() bool {
 // QueueDepth reports how many jobs are waiting in the bounded queue.
 func (s *Server) QueueDepth() int { return len(s.queue) }
 
-// QueueCapacity reports the bounded queue's capacity.
-func (s *Server) QueueCapacity() int { return s.opt.QueueSize }
-
 // SimsExecuted reports how many simulations this server's engine
 // actually launched (cache hits excluded) — the counter the cluster's
 // zero-duplicate-work assertions sum across workers.

@@ -175,6 +175,73 @@ func TestTenantAttribution(t *testing.T) {
 	if m2.Tenants != nil {
 		t.Errorf("untenanted run produced tenant metrics: %+v", m2.Tenants)
 	}
+
+	// Reliability reads: the tenants' read classifications must sum to
+	// the global reliability counts. Static-3 under the reliability
+	// goldens' 6000x retention clock tracks every written line and
+	// drifts some of them into correctable errors.
+	w, err := trace.WorkloadByName("hmmer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg3 := reliabilityGoldenConfig(StaticScheme(pcm.Mode3SETs), w)
+	cfg3.Workload.Tenants = []string{"acme", "zenith", "acme", "zenith"}
+	m3 := runTenanted(t, cfg3)
+	if m3.Reliability == nil || m3.Reliability.CorrectedReads == 0 {
+		t.Fatalf("reliability run corrected no reads: %+v", m3.Reliability)
+	}
+	var checked, corrected, uncorrectable uint64
+	for _, tm := range m3.Tenants {
+		if tm.ReadsChecked == 0 {
+			t.Errorf("tenant %s had no checked reads", tm.Name)
+		}
+		checked += tm.ReadsChecked
+		corrected += tm.CorrectedReads
+		uncorrectable += tm.UncorrectableReads
+	}
+	rel := m3.Reliability
+	if checked != rel.ReadsChecked || corrected != rel.CorrectedReads ||
+		uncorrectable != rel.UncorrectableReads {
+		t.Errorf("tenant reads checked/corrected/uncorrectable %d/%d/%d != global %d/%d/%d",
+			checked, corrected, uncorrectable,
+			rel.ReadsChecked, rel.CorrectedReads, rel.UncorrectableReads)
+	}
+
+	// Retention violations: RRM at TimeScale 1000 over a window past the
+	// first slow refresh misses deadlines (a known model limitation), and
+	// every miss must be charged to exactly one tenant.
+	cfg4 := quickConfig(t, RRMScheme(), "GemsFDTD")
+	cfg4.Workload.Tenants = []string{"acme", "zenith", "acme", "zenith"}
+	cfg4.Warmup = 2 * timing.Millisecond
+	cfg4.Duration = 10 * timing.Millisecond
+	m4 := runTenanted(t, cfg4)
+	if m4.RetentionViolations == 0 {
+		t.Fatal("run produced no retention violations to attribute")
+	}
+	var violations uint64
+	for _, tm := range m4.Tenants {
+		violations += tm.RetentionViolations
+	}
+	if violations != m4.RetentionViolations {
+		t.Errorf("tenant retention violations sum %d != total %d", violations, m4.RetentionViolations)
+	}
+}
+
+// runTenanted runs cfg and checks it reports one entry per tenant name.
+func runTenanted(t *testing.T, cfg Config) Metrics {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Tenants) != 2 {
+		t.Fatalf("have %d tenants, want 2", len(m.Tenants))
+	}
+	return m
 }
 
 // TestTenantSnapshotRestore: a tenanted system survives the

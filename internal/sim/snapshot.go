@@ -20,9 +20,8 @@ import (
 // (and streams may now be Dynamic or Replay cursors, whose section tags
 // differ from Mixture's); v3 adds the hybrid DRAM/migration sections and
 // the OwnerMigrate identity for in-flight copy reads.
-// v4 adds the shard-mailbox section (and the controller wakeup record
-// may now describe a timer slot — same bytes, same (time, seq)
-// position, whichever engine wrote it).
+// v4 adds a mailbox-count field, written by the since-removed sharded
+// engine and now always zero.
 // engine.warmHashVersion was bumped alongside each, so older blobs are
 // never looked up, let alone misparsed.
 const (
@@ -44,13 +43,8 @@ func (s *System) Snapshot() ([]byte, error) {
 	w := snapshot.NewWriter(1 << 20)
 	w.Header(sysSnapMagic, sysSnapVersion)
 	w.I64(int64(s.eq.Now()))
-	// Shard-mailbox section (v4): the count of in-transit cross-shard
-	// messages owned by no component. Snapshots are only taken between
-	// epochs, when every cross-shard event rests in its destination queue
-	// and is serialized by the component that owns it, so the count is
-	// zero by construction — deliberately independent of the shard count,
-	// which keeps snapshot bytes identical across engines. Restore
-	// validates the invariant.
+	// Mailbox count (v4): a fixed zero, kept so v4 blobs and the warm
+	// caches keyed on them stay valid. Restore rejects any other value.
 	w.U32(0)
 	w.U32(uint32(len(s.cores)))
 	for i, c := range s.cores {
@@ -122,7 +116,7 @@ func (s *System) Restore(blob []byte) error {
 	}
 	warm := timing.Time(r.I64())
 	if n := r.U32(); r.Err() == nil && n != 0 {
-		r.Fail("sim: snapshot holds %d in-transit mailbox messages (always 0 at epoch barriers)", n)
+		r.Fail("sim: snapshot mailbox count %d, want 0", n)
 	}
 	if n := r.U32(); r.Err() == nil && int(n) != len(s.cores) {
 		r.Fail("sim: snapshot has %d cores, live system %d", n, len(s.cores))
@@ -130,11 +124,7 @@ func (s *System) Restore(blob []byte) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if s.set != nil {
-		s.set.Reset(warm)
-	} else {
-		s.eq.Reset(warm)
-	}
+	s.eq.Reset(warm)
 	var pend []timing.Pending
 	for i, c := range s.cores {
 		s.gens[i].Restore(r)

@@ -136,10 +136,6 @@ func NewIntervalHistogram(memBytes uint64) *IntervalHistogram {
 	}
 }
 
-// Reset clears the accumulated regions, keeping the map's storage so a
-// reused histogram is allocation-free in steady state.
-func (h *IntervalHistogram) Reset() { clear(h.recs) }
-
 // AddWrite records a memory write to addr at time t.
 func (h *IntervalHistogram) AddWrite(addr uint64, t timing.Time) {
 	region := addr >> h.regionShift

@@ -28,18 +28,6 @@ func (r EventRef) Seq() int64 {
 	return r.seq
 }
 
-// clock is the (time, sequence) source of one simulation. A standalone
-// EventQueue owns its clock; the queues of a ShardSet share one, so a
-// component scheduling onto any shard sees the same global Now and every
-// event across all shards draws from one sequence space — which is what
-// makes the merged dispatch order of a sharded run identical to the
-// serial order (ties at the same instant still resolve by schedule
-// order, regardless of which shard holds the event).
-type clock struct {
-	now Time
-	seq int64
-}
-
 // entry is one pending event's dispatch key and the slot holding its
 // callback. Entries carry no pointers, so shifting the ordered array is
 // a plain memory move that the garbage collector never scans.
@@ -66,8 +54,7 @@ const tailScan = 8
 // EventQueue is a deterministic priority queue of events. Events
 // scheduled for the same instant fire in the order they were scheduled,
 // which keeps simulations reproducible regardless of map iteration or
-// goroutine scheduling (event dispatch is serialized even under a
-// ShardSet).
+// goroutine scheduling.
 //
 // Pending events live in an array kept sorted by (At, seq) descending,
 // so the next event is the last element and dispatch is a pop. Every
@@ -87,35 +74,16 @@ type EventQueue struct {
 	free  []int32 // free slot indices
 	tombs int     // cancelled entries still in ord
 	gen   uint32  // incremented by Reset; invalidates every earlier ref
-	ck    *clock
-
-	// timers are coarse one-shot deadline slots (see NewTimer), cheaper
-	// than queued events for the re-arm-heavy wakeups of the sharded
-	// engine. Only ShardSet-driven queues use them; a standalone queue's
-	// timer slice stays nil and Step ignores the field entirely.
-	timers []*Timer
-
-	// set/shard back-reference when the queue belongs to a ShardSet;
-	// Schedule uses it to tighten the executing batch's ordering bound
-	// when work lands on another shard (see ShardSet.limAt).
-	set   *ShardSet
-	shard int
-
-	// dirty is set by every mutation that can move the queue's earliest
-	// work (Schedule, Cancel, dispatch, timer arm/disarm, Reset). The
-	// ShardSet barrier uses it to recompute head keys only for queues
-	// that actually changed since the previous epoch.
-	dirty bool
+	now   Time    // At of the most recently dispatched event
+	seq   int64   // next sequence number
 }
 
 // NewEventQueue returns an empty queue whose clock starts at 0.
-func NewEventQueue() *EventQueue {
-	return &EventQueue{ck: &clock{}}
-}
+func NewEventQueue() *EventQueue { return &EventQueue{} }
 
 // Now returns the current simulation time: the At of the most recently
 // dispatched event.
-func (q *EventQueue) Now() Time { return q.ck.now }
+func (q *EventQueue) Now() Time { return q.now }
 
 // Len returns the number of pending events.
 func (q *EventQueue) Len() int { return len(q.ord) - q.tombs }
@@ -124,7 +92,7 @@ func (q *EventQueue) Len() int { return len(q.ord) - q.tombs }
 // Now) is a programming error and panics, since it would silently reorder
 // causality.
 func (q *EventQueue) Schedule(at Time, fn func(now Time)) EventRef {
-	if at < q.ck.now {
+	if at < q.now {
 		panic("timing: event scheduled in the past")
 	}
 	var s int32
@@ -135,19 +103,10 @@ func (q *EventQueue) Schedule(at Time, fn func(now Time)) EventRef {
 		s = int32(len(q.slots))
 		q.slots = append(q.slots, slot{})
 	}
-	seq := q.ck.seq
-	q.ck.seq++
+	seq := q.seq
+	q.seq++
 	q.slots[s] = slot{do: fn, seq: seq}
 	q.insert(entry{at: at, seq: seq, slot: s})
-	q.dirty = true
-	if st := q.set; st != nil && st.active >= 0 && q.shard != st.active &&
-		(at < st.limAt || (at == st.limAt && seq < st.limSeq)) {
-		// Cross-shard traffic now precedes the executing batch's
-		// ordering bound: tighten the bound so the batch stops before
-		// running past it. The batch keeps dispatching its earlier
-		// work — nothing is aborted or redone.
-		st.limAt, st.limSeq = at, seq
-	}
 	return EventRef{seq: seq, slot: s + 1, gen: q.gen}
 }
 
@@ -193,17 +152,8 @@ func (q *EventQueue) Reset(now Time) {
 	q.ord = q.ord[:0]
 	q.tombs = 0
 	q.gen++
-	for _, t := range q.timers {
-		t.At = Forever
-	}
-	q.dirty = true
-	q.ck.seq = 0
-	q.ck.now = now
-}
-
-// After enqueues fn to run d after the current time.
-func (q *EventQueue) After(d Time, fn func(now Time)) EventRef {
-	return q.Schedule(q.ck.now+d, fn)
+	q.seq = 0
+	q.now = now
 }
 
 // Cancel removes a pending event. Cancelling a zero ref, or a ref whose
@@ -215,7 +165,6 @@ func (q *EventQueue) Cancel(ref EventRef) {
 	}
 	q.release(s)
 	q.tombs++
-	q.dirty = true
 }
 
 // release frees a slot whose event fired or was cancelled.
@@ -245,81 +194,21 @@ func (q *EventQueue) fire(e entry) {
 	// this slot there is safe because the caller's EventRef sequence
 	// number no longer matches.
 	q.release(e.slot)
-	q.dirty = true
-	q.ck.now = e.at
+	q.now = e.at
 	do(e.at)
 }
 
-// PeekTime returns the time of the earliest pending event or armed
-// timer, or Forever if the queue is idle.
+// PeekTime returns the time of the earliest pending event, or Forever if
+// the queue is idle.
 func (q *EventQueue) PeekTime() Time {
-	at := Forever
 	if e, ok := q.head(); ok {
-		at = e.at
+		return e.at
 	}
-	for _, t := range q.timers {
-		if t.At < at {
-			at = t.At
-		}
-	}
-	return at
-}
-
-// headKey returns the (time, seq) dispatch key of the queue's earliest
-// work. Armed timers carry real sequence numbers (assigned at Arm), so
-// they interleave with queued events — here and across shards in a
-// merge — exactly as the equivalent Scheduled event would.
-func (q *EventQueue) headKey() (Time, int64) {
-	at, seq := Forever, int64(1<<62)
-	if e, ok := q.head(); ok {
-		at, seq = e.at, e.seq
-	}
-	for _, t := range q.timers {
-		if t.At < at || (t.At == at && t.seq < seq) {
-			at, seq = t.At, t.seq
-		}
-	}
-	return at, seq
-}
-
-// runWindow dispatches the queue's work in (time, seq) order while it
-// stays before windowEnd (the deadline clip) and ahead of the batch's
-// ordering bound — the earliest (time, seq) owned by any other shard,
-// re-read every iteration because the batch's own cross-shard
-// scheduling tightens it in place. It is the batch loop of ShardSet;
-// living here lets each iteration peek the queue head and timer slots
-// exactly once instead of once in headKey and again in dispatchKey.
-func (q *EventQueue) runWindow(s *ShardSet, windowEnd Time) {
-	for {
-		e, ok := q.head()
-		at, seq := Forever, int64(1<<62)
-		if ok {
-			at, seq = e.at, e.seq
-		}
-		var timer *Timer
-		for _, t := range q.timers {
-			if t.At < at || (t.At == at && t.seq < seq) {
-				at, seq = t.At, t.seq
-				timer = t
-			}
-		}
-		if at >= windowEnd || at > s.limAt || (at == s.limAt && seq > s.limSeq) {
-			return
-		}
-		if timer != nil {
-			timer.At = Forever
-			q.dirty = true
-			q.ck.now = at
-			timer.fn(at)
-		} else {
-			q.fire(e)
-		}
-	}
+	return Forever
 }
 
 // Step dispatches the earliest pending event, advancing the clock to its
-// time. It reports whether an event was dispatched. (Timer slots are
-// dispatched by ShardSet via runWindow, never by Step.)
+// time. It reports whether an event was dispatched.
 func (q *EventQueue) Step() bool {
 	e, ok := q.head()
 	if ok {
@@ -338,8 +227,8 @@ func (q *EventQueue) RunUntil(deadline Time) {
 		}
 		q.fire(e)
 	}
-	if q.ck.now < deadline {
-		q.ck.now = deadline
+	if q.now < deadline {
+		q.now = deadline
 	}
 }
 
@@ -352,61 +241,3 @@ func (q *EventQueue) Drain(maxEvents int) int {
 	}
 	return n
 }
-
-// Timer is a one-shot deadline slot on an EventQueue: a single mutable
-// (At, seq, fn) triple that fires at most once per arming and re-arms
-// with two stores instead of a Cancel+Schedule round-trip. It exists for
-// the sharded engine's channel wakeups, which are re-aimed on nearly
-// every kick; as queued events that churn would leave a tombstone each.
-// Arming draws a sequence number from the queue's clock exactly like
-// Schedule, so an armed timer interleaves with same-instant queued events
-// precisely as the event it replaces would have — replacing an event
-// with a timer changes no dispatch order. A disarmed timer holds
-// At == Forever. Timers are not part of Len/Drain; they are dispatched
-// only by a ShardSet (runWindow).
-type Timer struct {
-	At  Time
-	seq int64
-	fn  func(now Time)
-	q   *EventQueue // owning queue, for barrier dirty-marking
-}
-
-// NewTimer registers a timer slot on the queue, initially disarmed. The
-// number of slots per queue is expected to stay small (one per memory
-// channel mapped to the shard); every PeekTime/headKey scans them.
-func (q *EventQueue) NewTimer(fn func(now Time)) *Timer {
-	t := &Timer{At: Forever, fn: fn, q: q}
-	q.timers = append(q.timers, t)
-	return t
-}
-
-// Arm sets the timer to fire at `at`, replacing any earlier deadline and
-// assigning a fresh sequence number (the ordering position a Schedule
-// call at this point would get). Arming in the past is a programming
-// error, as with Schedule.
-func (t *Timer) Arm(q *EventQueue, at Time) {
-	if at < q.ck.now {
-		panic("timing: timer armed in the past")
-	}
-	t.At = at
-	t.seq = q.ck.seq
-	q.ck.seq++
-	q.dirty = true
-	if s := q.set; s != nil && s.active >= 0 && q.shard != s.active &&
-		(at < s.limAt || (at == s.limAt && t.seq < s.limSeq)) {
-		s.limAt, s.limSeq = at, t.seq // cross-shard deadline tightens the batch bound
-	}
-}
-
-// Seq returns the sequence number assigned at the last Arm (snapshots
-// record it alongside At to rebuild dispatch order on restore).
-func (t *Timer) Seq() int64 { return t.seq }
-
-// Disarm clears the timer.
-func (t *Timer) Disarm() {
-	t.At = Forever
-	t.q.dirty = true
-}
-
-// Armed reports whether the timer holds a live deadline.
-func (t *Timer) Armed() bool { return t.At != Forever }
